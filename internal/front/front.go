@@ -462,7 +462,10 @@ func (c *cancelOnClose) Close() error {
 }
 
 // relay copies one backend response to the client verbatim, adding
-// X-Backend so tests and operators can see the routing decision.
+// X-Backend so tests and operators can see the routing decision. An
+// NDJSON response (a job status or event stream, a streamed sweep or
+// figure) is flushed chunk by chunk, so each line reaches the client
+// when the backend sends it rather than when the stream ends.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, addr string) {
 	defer resp.Body.Close()
 	hdr := w.Header()
@@ -484,13 +487,29 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, addr string)
 	}
 	hdr.Set("X-Backend", addr)
 	w.WriteHeader(resp.StatusCode)
-	n, err := io.Copy(w, resp.Body)
+	var dst io.Writer = w
+	if f, ok := w.(http.Flusher); ok && strings.HasPrefix(resp.Header.Get("Content-Type"), "application/x-ndjson") {
+		dst = flushWriter{w, f}
+	}
+	n, err := io.Copy(dst, resp.Body)
 	rt.requestsTotal.With(addr, strconv.Itoa(resp.StatusCode)).Inc()
 	if err != nil {
 		// Mid-stream backend failure after bytes flowed: truncation is
 		// the honest outcome; never splice another replica's bytes in.
 		rt.log.Warn("relay truncated", "replica", addr, "bytes", n, "error", err.Error())
 	}
+}
+
+// flushWriter flushes after every write.
+type flushWriter struct {
+	io.Writer
+	f http.Flusher
+}
+
+func (w flushWriter) Write(p []byte) (int, error) {
+	n, err := w.Writer.Write(p)
+	w.f.Flush()
+	return n, err
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,9 @@
 package front
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -468,4 +470,49 @@ func slicesEqual(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestRelayFlushesNDJSONStream: an NDJSON stream — here a job status
+// stream whose job finishes only when the test says so — is relayed line
+// by line, so its first line reaches the client through the router while
+// the job is still running, not when the stream ends.
+func TestRelayFlushesNDJSONStream(t *testing.T) {
+	finish := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"state":"running"}`+"\n")
+		w.(http.Flusher).Flush()
+		select {
+		case <-finish:
+			io.WriteString(w, `{"state":"done"}`+"\n")
+		case <-r.Context().Done():
+		}
+	}))
+	defer backend.Close()
+	rt := newTestRouter(t, Config{Replicas: []string{hostPort(backend)}})
+	fe := httptest.NewServer(rt.Handler())
+	defer fe.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", fe.URL+"/v1/jobs/j1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := fe.Client().Do(req)
+	if err != nil {
+		t.Fatalf("status stream through the router: %v", err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	line, err := br.ReadString('\n')
+	if err != nil || line != `{"state":"running"}`+"\n" {
+		t.Fatalf("first line %q (%v) did not arrive while the job ran", line, err)
+	}
+	close(finish)
+	rest, err := io.ReadAll(br)
+	if err != nil || string(rest) != `{"state":"done"}`+"\n" {
+		t.Fatalf("rest of the stream %q (%v)", rest, err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -46,35 +47,18 @@ type batchRequest struct {
 	Items []batchItemJSON `json:"items"`
 }
 
-// batchItemResult is one entry of the response array. Status mirrors the
-// HTTP status the individual endpoint would have answered, and Body is
-// that endpoint's exact body: a result object for 200, the error envelope
-// for anything else.
-type batchItemResult struct {
-	Index  int             `json:"index"`
-	Status int             `json:"status"`
-	Body   json.RawMessage `json:"body"`
-}
-
-// batchResponse is the response envelope. Field order matches the
-// alphabetical key order json.Marshal gave the former map encoding, so
-// the bytes on the wire are unchanged.
-type batchResponse struct {
-	Count   int               `json:"count"`
-	Results []batchItemResult `json:"results"`
-}
-
-// batchScratch holds one batch request's reusable buffers: the
-// index-addressed body/error slots the parallel engine writes, the
-// result envelope entries, and the response encode buffer. Pooling them
-// means a steady stream of 1024-item batches stops allocating result
-// slices and encode buffers per request; only the per-item payload
-// bytes (which must outlive the arena) are still allocated fresh.
+// batchScratch holds one batch request's reusable buffers: the request
+// body, the decoded items, the index-addressed body/error slots the
+// parallel engine writes, each slot's encode buffer, and the response
+// buffer. Pooling them means a steady stream of 1024-item batches stops
+// allocating per request and per item.
 type batchScratch struct {
-	bodies  []json.RawMessage
-	errs    []error
-	results []batchItemResult
-	buf     bytes.Buffer
+	in     bytes.Buffer
+	items  []*batchItem
+	bodies []json.RawMessage
+	errs   []error
+	enc    [][]byte
+	buf    bytes.Buffer
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -85,134 +69,217 @@ func (b *batchScratch) grab(n int) {
 		b.bodies = make([]json.RawMessage, n)
 		b.errs = make([]error, n)
 	}
-	if cap(b.results) < n {
-		b.results = make([]batchItemResult, 0, n)
+	for len(b.enc) < n {
+		b.enc = append(b.enc, nil)
+	}
+	for len(b.items) < n {
+		b.items = nextItem(b.items)
 	}
 }
 
-// release clears every pointer-holding slot — a parked scratch must not
-// pin request payloads in memory — and returns the scratch to the pool.
+// release clears every slot that can reference request data — a parked
+// scratch must not pin request payloads in memory — and returns the
+// scratch to the pool. The buffers it owns keep their capacity.
 func (b *batchScratch) release(n int) {
 	for i := 0; i < n && i < len(b.bodies); i++ {
 		b.bodies[i] = nil
 		b.errs[i] = nil
 	}
-	for i := range b.results {
-		b.results[i].Body = nil
+	for i := range b.enc {
+		b.enc[i] = b.enc[i][:0]
 	}
-	b.results = b.results[:0]
+	for _, it := range b.items {
+		*it = batchItem{}
+	}
+	b.items = b.items[:0]
+	b.in.Reset()
 	b.buf.Reset()
 	batchScratchPool.Put(b)
 }
+
+// decode reads the capped request body into the scratch and decodes it.
+// With scan set, a canonical body (see scanBatch) becomes typed items
+// directly and fast is true. Any other body, and a body whose read
+// failed, is replayed — the bytes read, then the read error — into
+// decodeJSON's strict decoder, so it answers with exactly the status and
+// message that decoder gives; its items come back in raw, to be decoded
+// one by one with decodeItem.
+func (b *batchScratch) decode(body io.Reader, scan bool) (raw []batchItemJSON, fast bool, err error) {
+	_, rerr := b.in.ReadFrom(body)
+	if rerr == nil && scan {
+		if b.items, fast = scanBatch(b.in.Bytes(), b.items); fast {
+			return nil, true, nil
+		}
+	}
+	var src io.Reader = bytes.NewReader(b.in.Bytes())
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
+	}
+	req, err := decodeJSONFrom[batchRequest](src)
+	return req.Items, false, err
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // serveBatchTuner adapts how many batch items one scheduled task covers.
 var serveBatchTuner parallel.ChunkTuner
 
 // handleBatch fans a heterogeneous batch out over the parallel engine.
-// It writes its own response from a pooled encode buffer (returning the
+// It writes its own response from the pooled buffer (returning the
 // wroteResponse sentinel), which is what makes it safe to release the
 // pooled buffers before returning to the middleware.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error) {
-	req, err := decodeJSON[batchRequest](r)
+	return s.serveBatch(w, r, true)
+}
+
+// serveBatch is handleBatch. scan = false sends every body down the
+// fallback decoder, which lets tests check that both decode paths answer
+// alike.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, scan bool) (any, error) {
+	scratch := batchScratchPool.Get().(*batchScratch)
+	n := 0
+	defer func() { scratch.release(n) }()
+	raw, fast, err := scratch.decode(r.Body, scan)
+	decode := "fallback"
+	if fast {
+		decode = "fast"
+	}
+	s.metrics.batchRequests.With(decode).Inc()
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Items) == 0 {
+	n = len(scratch.items)
+	if !fast {
+		n = len(raw)
+	}
+	if n == 0 {
 		return nil, badRequest(errors.New("batch contains no items"))
 	}
-	if len(req.Items) > maxBatchItems {
-		return nil, badRequest(fmt.Errorf("batch has %d items, max %d", len(req.Items), maxBatchItems))
+	if n > maxBatchItems {
+		return nil, badRequest(fmt.Errorf("batch has %d items, max %d", n, maxBatchItems))
 	}
 	ctx, span := obs.StartSpan(r.Context(), "serve.batch")
 	if span != nil {
-		span.SetAttr("items", strconv.Itoa(len(req.Items)))
+		span.SetAttr("items", strconv.Itoa(n))
+		span.SetAttr("decode", decode)
 		defer span.End()
 	}
-	n := len(req.Items)
-	scratch := batchScratchPool.Get().(*batchScratch)
 	scratch.grab(n)
-	bodies, errs := scratch.bodies[:n], scratch.errs[:n]
+	items, bodies, errs := scratch.items[:n], scratch.bodies[:n], scratch.errs[:n]
 	stop := parallel.MapAllInto(ctx, bodies, errs, 0, &serveBatchTuner, func(i int) (json.RawMessage, error) {
-		v, err := evalBatchItem(ctx, req.Items[i])
+		if !fast {
+			if err := items[i].decodeItem(raw[i]); err != nil {
+				return nil, err
+			}
+		}
+		out, err := items[i].appendResult(ctx, scratch.enc[i][:0])
 		if err != nil {
 			return nil, err
 		}
-		buf, err := json.Marshal(v)
-		if err != nil {
-			return nil, &apiError{status: http.StatusInternalServerError, code: "internal", err: err}
-		}
-		return buf, nil
+		scratch.enc[i] = out
+		return out, nil
 	})
 	if stop != nil {
 		// The request context died: the whole batch maps to 504/499 exactly
 		// like a single long evaluation would.
-		scratch.release(n)
 		return nil, stop
 	}
-	results := scratch.results[:0]
+	// The envelope is written straight into the pooled buffer. Its bytes
+	// are the json.Encoder encoding of {count, results: [{index, status,
+	// body}]} plus its trailing newline: every body is already compact
+	// JSON from json.Marshal or an appendJSON that matches it.
+	out := &scratch.buf
+	out.WriteString(`{"count":`)
+	out.Write(strconv.AppendInt(out.AvailableBuffer(), int64(n), 10))
+	out.WriteString(`,"results":[`)
 	var okItems, errItems uint64
 	for i := 0; i < n; i++ {
+		if i > 0 {
+			out.WriteByte(',')
+		}
+		status, body := http.StatusOK, []byte(bodies[i])
 		if errs[i] != nil {
 			ae := asAPIError(errs[i])
 			var envelope errorBody
 			envelope.Error.Code = ae.code
 			envelope.Error.Message = ae.err.Error()
-			raw, _ := json.Marshal(envelope)
-			results = append(results, batchItemResult{Index: i, Status: ae.status, Body: raw})
+			status = ae.status
+			body, _ = json.Marshal(envelope)
 			errItems++
-			continue
+		} else {
+			okItems++
 		}
-		results = append(results, batchItemResult{Index: i, Status: http.StatusOK, Body: bodies[i]})
-		okItems++
+		out.WriteString(`{"index":`)
+		out.Write(strconv.AppendInt(out.AvailableBuffer(), int64(i), 10))
+		out.WriteString(`,"status":`)
+		out.Write(strconv.AppendInt(out.AvailableBuffer(), int64(status), 10))
+		out.WriteString(`,"body":`)
+		out.Write(body)
+		out.WriteByte('}')
 	}
-	scratch.results = results
+	out.WriteString("]}\n")
 	s.metrics.batchItems.With("ok").Add(okItems)
 	s.metrics.batchItems.With("error").Add(errItems)
-	// Encode into the pooled buffer; json.Encoder appends the same
-	// trailing newline writeJSON does, so the bytes match the old path.
-	scratch.buf.Reset()
-	if err := json.NewEncoder(&scratch.buf).Encode(batchResponse{Count: n, Results: results}); err != nil {
-		scratch.release(n)
-		return nil, &apiError{status: http.StatusInternalServerError, code: "internal", err: err}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, werr := w.Write(scratch.buf.Bytes())
-	scratch.release(n)
-	if werr != nil {
+	if _, err := w.Write(out.Bytes()); err != nil {
 		// The header is out; nothing more can be written. The access log
 		// carries the truncation via the middleware's error annotation.
-		return nil, werr
+		return nil, err
 	}
 	return wroteResponse{}, nil
 }
 
-// evalBatchItem dispatches one batch item to the evaluation core of its
-// target endpoint, with the same strict body decoding the endpoint itself
-// applies.
-func evalBatchItem(ctx context.Context, item batchItemJSON) (any, error) {
-	switch item.Kind {
+// decodeItem fills it from a fallback-decoded item, with the same strict
+// body decoding the item's target endpoint applies.
+func (it *batchItem) decodeItem(raw batchItemJSON) error {
+	*it = batchItem{kind: raw.Kind}
+	var err error
+	switch raw.Kind {
 	case "cost":
-		req, err := decodeJSONBytes[scenarioJSON](item.Body)
-		if err != nil {
-			return nil, err
-		}
-		return evalCost(ctx, req)
+		it.gen.Scenario, err = decodeJSONBytes[scenarioJSON](raw.Body)
 	case "designcost":
-		req, err := decodeJSONBytes[designCostRequest](item.Body)
-		if err != nil {
-			return nil, err
-		}
-		return evalDesignCost(ctx, req)
+		it.design, err = decodeJSONBytes[designCostRequest](raw.Body)
 	case "generalized":
-		req, err := decodeJSONBytes[generalizedRequest](item.Body)
-		if err != nil {
+		it.gen, err = decodeJSONBytes[generalizedRequest](raw.Body)
+	default:
+		err = badRequest(fmt.Errorf("unknown batch item kind %q (want cost, designcost or generalized)", raw.Kind))
+	}
+	return err
+}
+
+// appendResult evaluates a decoded item through its target endpoint's
+// evaluation core and appends the result body to dst.
+func (it *batchItem) appendResult(ctx context.Context, dst []byte) ([]byte, error) {
+	var out []byte
+	var err error
+	switch it.kind {
+	case "cost":
+		var res costResult
+		if res, err = evalCost(ctx, it.gen.Scenario); err != nil {
 			return nil, err
 		}
-		return evalGeneralized(ctx, req)
+		out, err = res.appendJSON(dst)
+	case "designcost":
+		var res designCostResult
+		if res, err = evalDesignCost(ctx, it.design); err != nil {
+			return nil, err
+		}
+		out, err = res.appendJSON(dst)
 	default:
-		return nil, badRequest(fmt.Errorf("unknown batch item kind %q (want cost, designcost or generalized)", item.Kind))
+		var res generalizedResult
+		if res, err = evalGeneralized(ctx, it.gen); err != nil {
+			return nil, err
+		}
+		out, err = res.appendJSON(dst)
 	}
+	if err != nil {
+		return nil, &apiError{status: http.StatusInternalServerError, code: "internal", err: err}
+	}
+	return out, nil
 }
 
 // decodeJSONBytes is decodeJSON for an in-memory body: the same strict

@@ -36,6 +36,13 @@ func fullBatchPayload() string {
 	return batchOf(kinds, bodies)
 }
 
+// batchItemResult is one entry of the /v1/batch response array.
+type batchItemResult struct {
+	Index  int             `json:"index"`
+	Status int             `json:"status"`
+	Body   json.RawMessage `json:"body"`
+}
+
 // TestBatchFullCapacityReusesScratch drives /v1/batch at the 1024-item
 // cap several times through one server, so later rounds run on recycled
 // scratch buffers. Every round must produce byte-identical output — any
@@ -113,34 +120,41 @@ func TestBatchConcurrentFullCapacity(t *testing.T) {
 
 // TestBatchScratchReleaseClearsReferences pins the memory contract of
 // the pool: a parked scratch must not keep request payloads alive
-// through its body, error or result slots.
+// through its body, error or item slots, and its owned buffers (request
+// body, per-item encode buffers, response) come back empty.
 func TestBatchScratchReleaseClearsReferences(t *testing.T) {
 	b := new(batchScratch)
 	b.grab(4)
 	bodies := b.bodies[:4]
+	items := b.items[:4]
 	for i := range bodies {
 		bodies[i] = json.RawMessage(`{"x":1}`)
 		b.errs[i] = fmt.Errorf("item %d", i)
+		b.enc[i] = append(b.enc[i], `{"x":1}`...)
+		items[i].kind = "generalized"
+		items[i].gen.Scenario.Process.Name = fmt.Sprintf("payload %d", i)
+		items[i].gen.Scenario.MaskCost = &items[i].mask
+		items[i].gen.YieldModel = &yieldModelJSON{Model: "murphy"}
 	}
-	b.results = append(b.results[:0],
-		batchItemResult{Index: 0, Status: 200, Body: json.RawMessage(`{}`)},
-		batchItemResult{Index: 1, Status: 400, Body: json.RawMessage(`{}`)},
-	)
+	b.in.WriteString("stale request bytes")
 	b.buf.WriteString("stale response bytes")
-	results := b.results[:cap(b.results)]
 	b.release(4)
 	for i := 0; i < 4; i++ {
 		if bodies[i] != nil || b.errs[i] != nil {
 			t.Fatalf("slot %d not cleared after release: body=%v err=%v", i, bodies[i], b.errs[i])
 		}
-	}
-	for i := range results {
-		if results[i].Body != nil {
-			t.Fatalf("result %d body not cleared after release", i)
+		if *items[i] != (batchItem{}) {
+			t.Fatalf("item %d not cleared after release: %+v", i, *items[i])
+		}
+		if len(b.enc[i]) != 0 {
+			t.Fatalf("encode buffer %d holds %d bytes after release, want 0", i, len(b.enc[i]))
 		}
 	}
-	if len(b.results) != 0 {
-		t.Fatalf("results length %d after release, want 0", len(b.results))
+	if len(b.items) != 0 {
+		t.Fatalf("items length %d after release, want 0", len(b.items))
+	}
+	if b.in.Len() != 0 {
+		t.Fatalf("request buffer holds %d bytes after release, want 0", b.in.Len())
 	}
 	if b.buf.Len() != 0 {
 		t.Fatalf("encode buffer holds %d bytes after release, want 0", b.buf.Len())

@@ -137,26 +137,35 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	return evalCost(r.Context(), req)
+	res, err := evalCost(r.Context(), req)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// costResult is the /v1/cost response body.
+type costResult struct {
+	Breakdown breakdownJSON `json:"breakdown"`
 }
 
 // evalCost is the shared evaluation core of POST /v1/cost and of "cost"
 // batch items: single-scenario and batched evaluations go through the one
 // code path, so a batch item's result is byte-identical to the individual
 // call's body.
-func evalCost(ctx context.Context, req scenarioJSON) (any, error) {
+func evalCost(ctx context.Context, req scenarioJSON) (costResult, error) {
 	sc, err := req.toScenario()
 	if err != nil {
-		return nil, err
+		return costResult{}, err
 	}
 	b, err := sc.TransistorCostCtx(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return costResult{}, ctx.Err()
 		}
-		return nil, badRequest(err)
+		return costResult{}, badRequest(err)
 	}
-	return map[string]any{"breakdown": toBreakdownJSON(b)}, nil
+	return costResult{Breakdown: toBreakdownJSON(b)}, nil
 }
 
 // designCostRequest is the /v1/designcost payload: a design size, a
@@ -175,14 +184,25 @@ func (s *Server) handleDesignCost(w http.ResponseWriter, r *http.Request) (any, 
 	if err != nil {
 		return nil, err
 	}
-	return evalDesignCost(r.Context(), req)
+	res, err := evalDesignCost(r.Context(), req)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// designCostResult is the /v1/designcost response body.
+type designCostResult struct {
+	DesignCost   float64 `json:"design_cost"`
+	MarginalCost float64 `json:"marginal_cost"`
+	Sd0          float64 `json:"sd0"`
 }
 
 // evalDesignCost is the shared evaluation core of POST /v1/designcost and
 // of "designcost" batch items.
-func evalDesignCost(ctx context.Context, req designCostRequest) (any, error) {
+func evalDesignCost(ctx context.Context, req designCostRequest) (designCostResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return designCostResult{}, err
 	}
 	m := core.DefaultDesignCostModel()
 	if req.Model != nil {
@@ -190,17 +210,13 @@ func evalDesignCost(ctx context.Context, req designCostRequest) (any, error) {
 	}
 	cost, err := m.Cost(req.Transistors, req.Sd)
 	if err != nil {
-		return nil, badRequest(err)
+		return designCostResult{}, badRequest(err)
 	}
 	marginal, err := m.MarginalCost(req.Transistors, req.Sd)
 	if err != nil {
-		return nil, badRequest(err)
+		return designCostResult{}, badRequest(err)
 	}
-	return map[string]any{
-		"design_cost":   cost,
-		"marginal_cost": marginal,
-		"sd0":           m.Sd0,
-	}, nil
+	return designCostResult{DesignCost: cost, MarginalCost: marginal, Sd0: m.Sd0}, nil
 }
 
 // yieldModelJSON selects the analytic yield model of a /v1/generalized
@@ -248,29 +264,40 @@ func (s *Server) handleGeneralized(w http.ResponseWriter, r *http.Request) (any,
 	if err != nil {
 		return nil, err
 	}
-	return evalGeneralized(r.Context(), req)
+	res, err := evalGeneralized(r.Context(), req)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// generalizedResult is the /v1/generalized response body.
+type generalizedResult struct {
+	Breakdown      breakdownJSON `json:"breakdown"`
+	EffectiveYield float64       `json:"effective_yield"`
+	Utilization    float64       `json:"utilization"`
 }
 
 // evalGeneralized is the shared evaluation core of POST /v1/generalized
 // and of "generalized" batch items.
-func evalGeneralized(ctx context.Context, req generalizedRequest) (any, error) {
+func evalGeneralized(ctx context.Context, req generalizedRequest) (generalizedResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return generalizedResult{}, err
 	}
 	sc, err := req.Scenario.toScenario()
 	if err != nil {
-		return nil, err
+		return generalizedResult{}, err
 	}
 	g := core.Generalized{Scenario: sc}
 	effectiveYield := sc.Process.Yield
 	if req.YieldModel != nil {
 		m, err := req.YieldModel.toModel()
 		if err != nil {
-			return nil, badRequest(err)
+			return generalizedResult{}, badRequest(err)
 		}
 		d0 := req.YieldModel.D0
 		if !(d0 >= 0) || math.IsInf(d0, 0) {
-			return nil, badRequest(fmt.Errorf("defect density d0 must be a finite non-negative number, got %v", d0))
+			return generalizedResult{}, badRequest(fmt.Errorf("defect density d0 must be a finite non-negative number, got %v", d0))
 		}
 		g.YieldFn = func(waferAreaCM2, lambdaUM, wafers, sd, transistors float64) float64 {
 			area, err := core.DieArea(transistors, lambdaUM, sd)
@@ -284,17 +311,13 @@ func evalGeneralized(ctx context.Context, req generalizedRequest) (any, error) {
 	}
 	b, err := g.TransistorCost()
 	if err != nil {
-		return nil, badRequest(err)
+		return generalizedResult{}, badRequest(err)
 	}
 	u := sc.Utilization
 	if u == 0 {
 		u = 1 // the Scenario zero value means "fully utilized ASIC"
 	}
-	return map[string]any{
-		"breakdown":       toBreakdownJSON(b),
-		"effective_yield": effectiveYield,
-		"utilization":     u,
-	}, nil
+	return generalizedResult{Breakdown: toBreakdownJSON(b), EffectiveYield: effectiveYield, Utilization: u}, nil
 }
 
 // maxSweepPoints caps a single sweep request; larger design-space scans

@@ -40,6 +40,7 @@ type metrics struct {
 	latency       *obs.Histogram    // request seconds
 	inFlight      *obs.Gauge        // requests currently admitted
 	batchItems    *obs.CounterVec   // /v1/batch items by outcome
+	batchRequests *obs.CounterVec   // /v1/batch requests by decode path
 	streamedBytes *obs.Counter      // bytes written on NDJSON responses
 	spanSeconds   *obs.HistogramVec // trace span durations by stage
 
@@ -65,6 +66,8 @@ func newMetrics() *metrics {
 			"Requests currently being served."),
 		batchItems: reg.NewCounterVec("nanocostd_batch_items_total",
 			"Batch items evaluated via /v1/batch, by outcome.", "outcome"),
+		batchRequests: reg.NewCounterVec("nanocostd_batch_requests_total",
+			"/v1/batch requests by decode path: fast (canonical body, scanned straight into typed items) or fallback (encoding/json).", "decode"),
 		streamedBytes: reg.NewCounter("nanocostd_streamed_bytes_total",
 			"Bytes written on NDJSON streaming responses."),
 		spanSeconds: reg.NewHistogramVec("nanocostd_span_seconds",

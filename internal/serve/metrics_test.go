@@ -92,6 +92,8 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	weird := "/v1/\\evil\"route\nwith\tunicodeé"
 	s.metrics.observe(weird, 400, 0.001)
 	s.metrics.batchItems.With("ok").Add(7)
+	s.metrics.batchRequests.With("fast").Add(3)
+	s.metrics.batchRequests.With("fallback").Inc()
 	s.metrics.streamedBytes.Add(1234)
 	// Span-duration samples across two stages, so the labelled histogram
 	// family has structure to check.
@@ -133,6 +135,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"nanocostd_request_seconds":         "histogram",
 		"nanocostd_in_flight":               "gauge",
 		"nanocostd_batch_items_total":       "counter",
+		"nanocostd_batch_requests_total":    "counter",
 		"nanocostd_streamed_bytes_total":    "counter",
 		"nanocostd_memo_cache_hits_total":   "counter",
 		"nanocostd_memo_cache_misses_total": "counter",
@@ -197,6 +200,8 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	// The batch and streaming counters surface the values recorded above.
 	for _, want := range []string{
 		fmt.Sprintf("nanocostd_batch_items_total{outcome=\"ok\"} %d", 7),
+		`nanocostd_batch_requests_total{decode="fast"} 3`,
+		`nanocostd_batch_requests_total{decode="fallback"} 1`,
 		"nanocostd_streamed_bytes_total 1234",
 		`nanocostd_jobs_total{state="submitted"} 3`,
 		`nanocostd_jobs_total{state="completed"} 2`,

@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -728,8 +729,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // trailing garbage, malformed JSON and oversized bodies are all rejected
 // with the status asAPIError assigns.
 func decodeJSON[T any](r *http.Request) (T, error) {
+	return decodeJSONFrom[T](r.Body)
+}
+
+// decodeJSONFrom is decodeJSON for a body already taken off its request.
+func decodeJSONFrom[T any](body io.Reader) (T, error) {
 	var v T
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
 		var mbe *http.MaxBytesError

@@ -24,6 +24,9 @@ echo "== obs conformance (registry, tracing, exposition; race-enabled) ==" >&2
 go test -race -count=1 ./internal/obs/
 go test -race -count=1 -run 'TestMetricsExpositionConformance|TestTrace|TestRequestID|TestAccessLog|TestStreamedStatus' ./internal/serve/
 
+echo "== /v1/batch decode fuzzing (short; fast scanner vs encoding/json fallback) ==" >&2
+go test -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime 15s -parallel 2 ./internal/serve/
+
 echo "== bench smoke (1 iteration each) ==" >&2
 go test -run xxx -bench=. -benchtime=1x .
 
@@ -33,12 +36,10 @@ go test -run xxx -bench=. -benchtime=1x .
 # the custom throughput metrics (evals/sec, sims/sec) are gated by
 # benchcmp only when both the baseline and this host are multi-core —
 # wall-clock from a 1x smoke run on a single-core box is noise, and
-# benchcmp knows to skip it. For the full-fidelity version run
-# `make bench-compare BASE=BENCH_PR6.json`.
-base=""
-for candidate in BENCH_PR6.json BENCH_PR2.json; do
-  if [ -f "$candidate" ]; then base="$candidate"; break; fi
-done
+# benchcmp knows to skip it. The baseline is the newest recorded
+# BENCH_PR<n>.json (highest n). For the full-fidelity version run
+# `make bench-compare BASE=<that file>`.
+base=$(ls BENCH_PR*.json 2>/dev/null | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$/\1 &/p' | sort -n | tail -n 1 | cut -d' ' -f2)
 if [ -n "$base" ]; then
   echo "== benchmark gate (bytes/op always; ns/op + metrics on multi-core) vs $base ==" >&2
   go test -run xxx -bench=. -benchtime=1x -benchmem . | go run ./cmd/benchcmp -base "$base"
